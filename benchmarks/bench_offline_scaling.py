@@ -15,11 +15,12 @@ DP's advantage over the naive sweep grows linearly in ``n`` and its
 advantage over the bisect variant grows with ``log n`` — i.e. who wins
 never changes, and the gap widens exactly as the complexity classes say.
 
-Since the ``repro.kernels`` PR, the default ``solve_offline`` path is
-``kernel="auto"`` → the ``O(n + m + P)`` frontier kernel; the tables
-keep a ``kernel="reference"`` column so the before/after of that switch
-stays recorded in ``benchmarks/out/`` (the deeper kernel grid lives in
-``bench_dp_kernels.py`` / ``BENCH_dp_kernels.json``).
+``solve_offline`` is the batched frontier sweep of ``repro.kernels.batch``
+run as a batch of one (compiled C when a system compiler exists); its
+``O(n + m + P)`` pivot accumulator replaces the per-request cover-set
+scan.  The deeper kernel grid, with the Python sweep backend next to the
+compiled one, lives in ``bench_dp_kernels.py`` /
+``BENCH_dp_kernels.json``.
 """
 
 import time
@@ -43,21 +44,16 @@ def test_scaling_in_n(benchmark):
     rows = []
     for n in (200, 500, 1000, 2000):
         inst = poisson_zipf_instance(n, 16, rate=1.0, zipf_s=1.0, rng=0)
-        fast = solve_offline(inst)  # kernel="auto" -> frontier
-        assert fast.agrees_with(solve_offline(inst, kernel="reference"))
+        fast = solve_offline(inst)
         assert fast.agrees_with(solve_offline_naive(inst))
         assert fast.agrees_with(solve_offline_bisect(inst))
         t_fast = min(_time(solve_offline, inst) for _ in range(3))
-        t_ref = min(
-            _time(solve_offline, inst, kernel="reference") for _ in range(3)
-        )
         t_bis = min(_time(solve_offline_bisect, inst) for _ in range(3))
         t_naive = _time(solve_offline_naive, inst)
         rows.append(
             {
                 "n": n,
-                "auto/frontier [s]": t_fast,
-                "reference O(mn) [s]": t_ref,
+                "fast DP [s]": t_fast,
                 "bisect O(nm log n) [s]": t_bis,
                 "naive O(n^2) [s]": t_naive,
                 "speedup vs naive": t_naive / t_fast,
@@ -67,7 +63,7 @@ def test_scaling_in_n(benchmark):
         "offline_scaling_n",
         format_table(rows, precision=4),
         header="C1: scaling in n at m=16 (identical outputs asserted; "
-        "default solve_offline = frontier kernel)",
+        "fast DP = solve_offline, the batch sweep)",
     )
     # The asymptotic gap must widen with n.
     assert rows[-1]["speedup vs naive"] > rows[0]["speedup vs naive"]
@@ -80,19 +76,14 @@ def test_scaling_in_m(benchmark):
     rows = []
     for m in (4, 16, 64, 256):
         inst = poisson_zipf_instance(800, m, rate=1.0, zipf_s=0.8, rng=1)
-        fast = solve_offline(inst)  # kernel="auto" -> frontier
-        assert fast.agrees_with(solve_offline(inst, kernel="reference"))
+        fast = solve_offline(inst)
         assert fast.agrees_with(solve_offline_bisect(inst))
         t_fast = min(_time(solve_offline, inst) for _ in range(3))
-        t_ref = min(
-            _time(solve_offline, inst, kernel="reference") for _ in range(3)
-        )
         t_bis = min(_time(solve_offline_bisect, inst) for _ in range(3))
         rows.append(
             {
                 "m": m,
-                "auto/frontier [s]": t_fast,
-                "reference O(mn) [s]": t_ref,
+                "fast DP [s]": t_fast,
                 "bisect O(nm log n) [s]": t_bis,
                 "ratio": t_bis / t_fast,
             }
@@ -101,7 +92,7 @@ def test_scaling_in_m(benchmark):
         "offline_scaling_m",
         format_table(rows, precision=4),
         header="C1: scaling in m at n=800 "
-        "(default solve_offline = frontier kernel)",
+        "(fast DP = solve_offline, the batch sweep)",
     )
     # The fast solver must never lose to the log-factor variant at scale.
     assert rows[-1]["ratio"] >= 1.0

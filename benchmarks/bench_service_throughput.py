@@ -32,9 +32,9 @@ Hard checks ride along with the timings:
 * **speedup** — the new end-to-end pipeline must be ≥1.5× the old one
   at 4 processes.  Asserted only when the machine actually has ≥4
   usable cores; the JSON records the measured ratio honestly either way.
-* **batch kernel** — the serial multi-item solve (batched instance-major
-  kernel, the ``kernel="auto"`` default) must be ≥5× the per-item
-  frontier loop at the largest grid point, with a byte-identical cost
+* **batch kernel** — the serial multi-item solve (the batched
+  instance-major sweep, compiled C) must be ≥5× the same batch on the
+  Python sweep at the largest grid point, with a byte-identical cost
   surface.  Identity is unconditional; the speedup is hard on full runs
   with the compiled C sweep.
 * **no leaks** — ``active_segments()`` must be empty at the end.
@@ -64,15 +64,16 @@ from repro import (
     solve_offline_multi,
 )
 from repro.analysis import format_table
-from repro.kernels import batch_sweep_backend
+from repro.kernels import batch_sweep_backend, solve_offline_batch
+from repro.service.multi import MultiItemOfflineResult
 from repro.service.fabric import active_segments
 from repro.workloads.traces import TraceRecord, read_trace, write_trace
 
 from _util import emit
 
-#: Minimum serial speedup of the batched kernel over the per-item
-#: frontier loop at the largest grid point (hard when the compiled sweep
-#: is available on a full run; recorded honestly either way).
+#: Minimum serial speedup of the compiled batch sweep over the Python
+#: sweep at the largest grid point (hard when the compiled sweep is
+#: available on a full run; recorded honestly either way).
 BATCH_SPEEDUP_GATE = 5.0
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -170,11 +171,10 @@ def _convert_rss_kb(csv_path, dest, chunk_rows):
 def _bench_transports(cpus):
     """Section 1 (+5): transport grid with unconditional bit-identity.
 
-    The serial row is the batched instance-major kernel (the default for
-    multi-item solves since P8); a ``serial-frontier`` row times the old
-    per-item loop on the same workload so the JSON records the batch
-    kernel's serial speedup, gated ≥5x at the largest grid point when
-    the compiled sweep is available.
+    The serial row is the batched instance-major sweep; a
+    ``serial-python`` row times the same batch on the Python sweep so
+    the JSON records the compiled sweep's serial speedup, gated ≥5x at
+    the largest grid point when the compiled sweep is available.
     """
     rows, json_rows = [], []
     batch_gate = None
@@ -185,18 +185,21 @@ def _bench_transports(cpus):
         t_serial, off_serial = _best_of(lambda: solve_offline_multi(svc), REPEATS)
         canon_serial = _canonical_costs(off_serial)
         t_item, off_item = _best_of(
-            lambda: solve_offline_multi(svc, kernel="frontier"), REPEATS
+            lambda: MultiItemOfflineResult(
+                per_item=solve_offline_batch(svc.items, kernel="python")
+            ),
+            REPEATS,
         )
-        # Semantics gate (unconditional): the batched kernel must not
-        # move the cost surface a single byte vs the per-item path.
+        # Semantics gate (unconditional): the sweep backends must not
+        # move the cost surface a single byte.
         assert _canonical_costs(off_item) == canon_serial, (
-            f"batch kernel cost surface diverged from per-item frontier "
+            f"compiled sweep cost surface diverged from the Python sweep "
             f"at items={num_items}"
         )
         serial_speedup = t_item / t_serial if t_serial > 0 else float("inf")
         batch_gate = {
             "items": num_items,
-            "per_item_frontier_seconds": t_item,
+            "python_sweep_seconds": t_item,
             "batch_seconds": t_serial,
             "serial_speedup": serial_speedup,
             "backend": batch_sweep_backend(),
@@ -204,7 +207,7 @@ def _bench_transports(cpus):
         }
         points = [
             ("serial", 1, t_serial, canon_serial),
-            ("serial-frontier", 1, t_item, canon_serial),
+            ("serial-python", 1, t_item, canon_serial),
         ]
         for procs in [p for p in PROC_GRID if p > 1]:
             t_pickle, off_pickle = _best_of(
@@ -257,13 +260,13 @@ def _bench_transports(cpus):
                     ).hexdigest()[:16],
                 }
             )
-    # Perf gate: serial batch ≥5x serial per-item frontier at the
+    # Perf gate: compiled batch sweep ≥5x the Python sweep at the
     # largest grid point.  Hard only on full runs with the compiled
     # sweep — the Python fallback records its honest ratio instead.
     if not SMOKE and batch_gate["backend"] == "c":
         assert batch_gate["serial_speedup"] >= BATCH_SPEEDUP_GATE, (
-            f"batch kernel only {batch_gate['serial_speedup']:.2f}x the "
-            f"per-item frontier loop at items={batch_gate['items']} "
+            f"compiled sweep only {batch_gate['serial_speedup']:.2f}x the "
+            f"Python sweep at items={batch_gate['items']} "
             f"(gate {BATCH_SPEEDUP_GATE}x)"
         )
     return rows, json_rows, batch_gate
@@ -442,7 +445,7 @@ def test_service_throughput(benchmark):
         "service_throughput",
         format_table(rows, precision=4)
         + "\n\nserial batch kernel ({backend} sweep, items={items}): "
-        "per-item {per_item_frontier_seconds:.4f}s, batch "
+        "python sweep {python_sweep_seconds:.4f}s, batch "
         "{batch_seconds:.4f}s ({serial_speedup:.1f}x, gate "
         "{threshold}x)".format(**batch_gate)
         + "\n\nshm phases (items={items}, {processes} procs): "

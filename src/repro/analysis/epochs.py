@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from ..core.instance import ProblemInstance
 from ..core.transforms import split_at
-from ..offline.dp import solve_offline
+from ..kernels.batch import solve_offline_batch
 from ..online.speculative import SpeculativeCaching
 
 __all__ = ["EpochRow", "epoch_report"]
@@ -80,7 +80,7 @@ def epoch_report(
     if not boundaries or boundaries[-1] != instance.n:
         boundaries.append(instance.n)
 
-    rows: List[EpochRow] = []
+    spans = []
     remaining = instance
     consumed = 0
     for e, boundary in enumerate(boundaries):
@@ -91,19 +91,21 @@ def epoch_report(
         t_lo = float(head.t[0])
         t_hi = float(head.t[-1]) if head.n else t_lo
         sc_cost = _cost_in_span(run, instance.cost, t_lo, t_hi)
-        opt_cost = solve_offline(head).optimal_cost
-        rows.append(
-            EpochRow(
-                index=e,
-                first_request=consumed + 1,
-                last_request=boundary,
-                sc_cost=sc_cost,
-                opt_cost=opt_cost,
-            )
-        )
+        spans.append((e, consumed + 1, boundary, sc_cost, head))
         remaining = tail
         consumed = boundary
-    return rows
+    # Every epoch's optimum in one batched DP call.
+    opts = solve_offline_batch([(str(span[0]), span[4]) for span in spans])
+    return [
+        EpochRow(
+            index=e,
+            first_request=first,
+            last_request=last,
+            sc_cost=sc_cost,
+            opt_cost=res.optimal_cost,
+        )
+        for (e, first, last, sc_cost, _), res in zip(spans, opts.values())
+    ]
 
 
 def _cost_in_span(run, cost, t_lo: float, t_hi: float) -> float:

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from ..kernels.batch import solve_offline_batch
 from ..offline.dp import solve_offline
 from ..online.double_transfer import double_transfer
 from ..online.reductions import verify_theorem3
@@ -166,7 +167,8 @@ def _exp_ladder() -> str:
     from ..workloads.synthetic import poisson_zipf_instance
 
     insts = [poisson_zipf_instance(100, 5, rate=1.0, rng=s) for s in range(6)]
-    opts = [solve_offline(i).optimal_cost for i in insts]
+    batch = solve_offline_batch([(str(k), i) for k, i in enumerate(insts)])
+    opts = [res.optimal_cost for res in batch.values()]
     rows = []
     for name, factory in (
         ("SC", lambda: SpeculativeCaching()),

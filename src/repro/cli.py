@@ -66,7 +66,7 @@ from typing import List, Optional
 
 from .core.types import CostModel
 from .kernels.online import ONLINE_KERNELS
-from .offline.dp import KERNELS, solve_offline
+from .offline.dp import solve_offline
 from .online.baselines import AlwaysTransfer, NeverDelete, RandomizedTTL
 from .online.predictive import MarkovPredictor, PredictiveCaching
 from .online.resilient import SpeculativeCachingResilient
@@ -98,22 +98,6 @@ _POLICIES = {
     "predictive": _predictive_factory,
 }
 
-# One --kernel flag covers both kernel families: DP names route to the
-# off-line sweep, online names to the policy replay, and names the other
-# family doesn't know fall back to its "auto".
-_KERNEL_CHOICES = list(KERNELS) + [k for k in ONLINE_KERNELS if k not in KERNELS]
-
-
-def _dp_kernel(kernel: str) -> str:
-    """The off-line-DP half of the global ``--kernel`` value."""
-    return kernel if kernel in KERNELS else "auto"
-
-
-def _online_kernel(kernel: str) -> str:
-    """The online-replay half of the global ``--kernel`` value."""
-    return kernel if kernel in ONLINE_KERNELS else "auto"
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro-cache`` argument parser (exposed for tests)."""
     p = argparse.ArgumentParser(
@@ -126,16 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", type=int, default=0, help="initial data server")
     p.add_argument(
         "--kernel",
-        choices=_KERNEL_CHOICES,
+        choices=ONLINE_KERNELS,
         default="auto",
-        help="off-line DP sweep: frontier (O(n+m+P) fast path), reference "
-        "(paper-shaped O(mn)), batch (instance-major batched kernel; one "
-        "sweep per multi-item service or shard, compiled C when a system "
-        "compiler exists), or auto (default; frontier per item, batch for "
-        "multi-item solves) — bit-identical results either way.  Online "
-        "replays take event (per-event state machine) or vector (batched "
-        "array kernel, SC/TTL only) — also bit-identical; auto picks "
-        "vector when eligible",
+        help="online replay path: event (per-event state machine) or vector "
+        "(batched array kernel, SC/TTL only) — bit-identical results; auto "
+        "(default) picks vector when eligible",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -632,7 +611,7 @@ def _load(args: argparse.Namespace):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args)
-    res = solve_offline(inst, kernel=_dp_kernel(args.kernel))
+    res = solve_offline(inst)
     sched = res.schedule()
     print(f"instance: {inst}")
     print(f"optimal cost C(n) = {res.optimal_cost:.6g} "
@@ -649,8 +628,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
         algo = SpeculativeCaching(epoch_size=args.epoch)
     else:
         algo = _POLICIES[args.policy]()
-    run = algo.run(inst, kernel=_online_kernel(args.kernel))
-    opt = solve_offline(inst, kernel=_dp_kernel(args.kernel)).optimal_cost
+    run = algo.run(inst, kernel=args.kernel)
+    opt = solve_offline(inst).optimal_cost
     print(f"instance: {inst}")
     print(f"policy {run.algorithm}: cost = {run.cost:.6g} "
           f"(optimal {opt:.6g}, ratio {run.cost / opt:.4f})")
@@ -665,12 +644,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
 
     inst = _load(args)
-    opt = solve_offline(inst, kernel=_dp_kernel(args.kernel)).optimal_cost
+    opt = solve_offline(inst).optimal_cost
     # The grid mixes vector-eligible and ineligible policies, so a pinned
     # "vector" falls back to "auto" here rather than failing the whole table.
-    online_kernel = _online_kernel(args.kernel)
-    if online_kernel == "vector":
-        online_kernel = "auto"
+    online_kernel = "auto" if args.kernel == "vector" else args.kernel
     rows = [{"policy": "off-line optimal", "cost": opt, "ratio": 1.0}]
     for key in sorted(_POLICIES):
         # each factory yields a fresh policy
@@ -1012,7 +989,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
             processes=args.processes,
             shards=args.shards,
             shard_strategy=args.shard_strategy,
-            kernel=_dp_kernel(args.kernel),
             transport=args.transport,
             pool=pool,
         )
@@ -1025,7 +1001,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 shard_strategy=args.shard_strategy,
                 transport=args.transport,
                 pool=pool,
-                kernel=_online_kernel(args.kernel),
+                kernel=args.kernel,
             )
         return _report_service(args, svc, off, online)
     finally:
@@ -1040,14 +1016,14 @@ def _report_service(args, svc, off, online) -> int:
     from .service import MultiItemOnlineService, solve_offline_multi
 
     if args.verify_serial and args.processes > 1:
-        serial = solve_offline_multi(svc, kernel=_dp_kernel(args.kernel))
+        serial = solve_offline_multi(svc)
         same = list(serial.per_item) == list(off.per_item) and all(
             np.array_equal(serial.per_item[k].C, off.per_item[k].C)
             for k in serial.per_item
         )
         if online is not None:
             serial_on = MultiItemOnlineService(_POLICIES[args.policy]).run(
-                svc, kernel=_online_kernel(args.kernel)
+                svc, kernel=args.kernel
             )
             same = same and (
                 serial_on.total_cost == online.total_cost
@@ -1154,7 +1130,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         mu=args.mu,
         lam=args.lam,
         origin=args.origin,
-        kernel=_dp_kernel(args.kernel),
         queue_depth=args.queue_depth,
         degrade_watermark=args.degrade_watermark,
         deadline_ms=args.deadline_ms,
@@ -1193,7 +1168,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         mu=args.mu,
         lam=args.lam,
         origin=args.origin,
-        kernel=_dp_kernel(args.kernel),
         host=args.host,
         queue_depth=args.queue_depth,
         degrade_watermark=args.degrade_watermark,
@@ -1349,7 +1323,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             origin=args.origin,
             confidence=args.confidence,
             top_exact=args.top_exact,
-            kernel="batch" if args.kernel == "batch" else "auto",
             chunk_rows=args.chunk_rows,
         )
         print(
@@ -1407,7 +1380,7 @@ def _cmd_svg(args: argparse.Namespace) -> int:
     from .schedule.svg import write_svg
 
     inst = _load(args)
-    res = solve_offline(inst, kernel=_dp_kernel(args.kernel))
+    res = solve_offline(inst)
     write_svg(
         res.schedule(),
         inst,

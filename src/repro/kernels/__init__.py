@@ -2,27 +2,26 @@
 
 The reference implementations elsewhere in the package favour clarity:
 per-request Python loops that mirror the paper's pseudocode line by
-line.  This subpackage holds the *fast paths* — drop-in replacements
-for the three interpreter-bound hot loops, each differentially tested
-bit-identical to its reference twin:
+line.  This subpackage holds the *fast paths*, each differentially
+tested bit-identical to its reference oracle:
 
-* :mod:`repro.kernels.frontier` — the off-line DP sweep with per-server
-  monotone pivot pointers and incrementally maintained running minima,
-  amortised ``O(n + m + P)`` (``P`` = total pivot-pointer advances,
-  typically ``≈ n``) instead of interpreter-level ``O(mn)``.  Selected
-  via ``solve_offline(kernel="frontier")`` (the ``"auto"`` default).
+* :mod:`repro.kernels.batch` — the off-line DP.  A batch of instances
+  is packed into concatenated ragged columns and solved with ONE sweep
+  call (compiled C when a system compiler exists, a transliterated
+  Python loop otherwise).  It is the only DP sweep:
+  ``solve_offline`` is a batch of one, and multi-item services, shard
+  workers and trace sampling pack whole batches.  Its reference oracle
+  is :func:`repro.offline.naive.solve_offline_bisect`.
+* :mod:`repro.kernels.frontier` — :class:`FrontierState`, the sweep's
+  per-server pivot accumulator (amortised ``O(n + m + P)``, ``P`` =
+  total pivot-pointer advances, typically ``≈ n``), which the streaming
+  solver advances one append at a time.
 * :mod:`repro.kernels.prescan` — the instance pre-scan (``p``, ``σ``,
-  ``b``, ``B``, per-server lists, pivot matrix) as whole-array numpy
-  operations instead of per-request/per-server Python loops.
+  ``b``, ``B``, per-server lists) as whole-array numpy operations
+  instead of per-request/per-server Python loops.
 * :mod:`repro.kernels.replay` — an array-backed replay loop for the
   fault-free online engine: request times/servers as native Python
   scalars hoisted out of numpy, no per-event object dispatch.
-* :mod:`repro.kernels.batch` — the batched instance-major DP sweep:
-  a whole multi-item service packed into concatenated ragged columns
-  and solved with ONE kernel call (compiled C sweep when a system
-  compiler exists, transliterated Python loop otherwise).  Selected
-  via ``solve_offline(kernel="batch")`` / ``solve_offline_batch``;
-  the service layer's shard workers call it once per shard.
 * :mod:`repro.kernels.online` — the online twin of the batch DP: a
   whole SC/TTL(γ) run (decisions, epochs, copy-seconds, cost, digest)
   replayed over native scalar columns without per-event hook dispatch,
@@ -34,8 +33,8 @@ bit-identical to its reference twin:
 Determinism contract: a kernel never changes *what* is computed, only
 *how fast*.  ``C``/``D`` vectors, ``served_by_cache``, backtracking
 choices, reconstructed schedules, and online run results are all
-byte-identical across kernels — ``benchmarks/bench_dp_kernels.py``
-gates on this unconditionally, and ``tests/offline/test_kernels.py``
+byte-identical to the reference oracles — the DP kernel benchmark under
+``benchmarks/`` gates on this unconditionally, and ``tests/offline/test_kernels.py``
 property-tests it on random instances (ties, degenerate fleets).
 """
 
@@ -44,7 +43,7 @@ from .batch import (
     batch_sweep_backend,
     solve_offline_batch,
 )
-from .frontier import FrontierState, solve_offline_frontier
+from .frontier import FrontierState
 from .online import (
     ONLINE_KERNELS,
     OnlineKernelRun,
@@ -55,12 +54,7 @@ from .online import (
     sweep_layout,
     vectorizable,
 )
-from .prescan import (
-    build_pivot_matrix,
-    per_server_lists,
-    prescan_arrays,
-    prev_same_server,
-)
+from .prescan import per_server_lists, prescan_arrays, prev_same_server
 from .replay import replay_fault_free
 
 __all__ = [
@@ -68,7 +62,6 @@ __all__ = [
     "batch_sweep_backend",
     "solve_offline_batch",
     "FrontierState",
-    "solve_offline_frontier",
     "ONLINE_KERNELS",
     "OnlineKernelRun",
     "decision_digest",
@@ -77,7 +70,6 @@ __all__ = [
     "run_online_vector",
     "sweep_layout",
     "vectorizable",
-    "build_pivot_matrix",
     "per_server_lists",
     "prescan_arrays",
     "prev_same_server",

@@ -1,17 +1,17 @@
 /* Batched instance-major frontier sweep — C twin of the Python loop in
- * repro/kernels/frontier.py (solve_offline_frontier).
+ * repro/kernels/batch.py (_sweep_python).
  *
  * One call sweeps EVERY item of a packed batch: the per-item request
  * columns (t / srv / p / sigma / B, each of length n_k + 1 including the
  * boundary request r_0) live back to back in flat arrays, with per-item
  * offsets, and the per-server accumulator state is stacked likewise.
  * Within an item the algorithm is a line-by-line transliteration of the
- * Python frontier kernel; across items it simply advances the base
+ * Python sweep; across items it simply advances the base
  * pointers — instance-major, so each item's sweep touches a contiguous
  * block and the per-item Python orchestration cost disappears entirely.
  *
  * Bit-identity contract (asserted by tests/offline/test_batch_kernel.py
- * and gated by benchmarks/bench_dp_kernels.py):
+ * and gated by the DP kernel benchmark under benchmarks/):
  *
  *   - every floating-point expression keeps the Python operand order
  *     (`acc + mu * sigma[i] + B_prev` associates left to right in both

@@ -18,10 +18,11 @@ per-item overhead by packing a whole batch into one array program:
   :class:`~repro.offline.result.OfflineResult` views, keyed in input
   order.
 
-The sweep itself is the frontier kernel's loop (same recurrences, same
-move-to-front pivot accumulator, same ``(value, server-id)`` tie-break)
-run once per item over the packed columns.  Two interchangeable
-backends execute it:
+The sweep itself is the frontier loop of :mod:`repro.kernels.frontier`
+(same recurrences, move-to-front pivot accumulator, ``(value,
+server-id)`` tie-break) run once per item over the packed columns.  It
+is the package's only off-line DP sweep: ``solve_offline`` is a batch of
+one.  Two interchangeable backends execute it:
 
 ``"c"``
     ``_batch_sweep.c`` compiled on demand with the system C compiler
@@ -35,10 +36,11 @@ backends execute it:
     A pure-Python transliteration of the same loop — the executable
     specification, and the automatic fallback when no compiler exists.
 
-Both backends are bit-identical to per-item ``kernel="frontier"`` on
-every result field including tie-breaks; the differential suite
-(``tests/offline/test_batch_kernel.py``) and the benchmark gates
-(``benchmarks/bench_dp_kernels.py``) assert exactly that.  The
+Both backends are bit-identical to the reference oracle
+:func:`repro.offline.naive.solve_offline_bisect` on every result field
+including tie-breaks; the differential suite
+(``tests/offline/test_batch_kernel.py``) and the DP kernel benchmark's
+gates (under ``benchmarks/``) assert exactly that.  The
 ``REPRO_BATCH_SWEEP`` environment variable (``"c"`` / ``"python"``)
 pins a backend for debugging and CI matrix runs.
 
@@ -78,12 +80,11 @@ __all__ = [
 
 _INF = math.inf
 
-#: Valid sweep-backend selectors for the batch kernel.  ``"auto"`` (and
-#: its alias ``"batch"``, so service code can forward its ``kernel=``
-#: string verbatim) picks the compiled sweep when available and falls
-#: back to the Python twin; ``"c"`` / ``"python"`` pin a backend
-#: (``"c"`` raises if no compiler or load failure).
-BATCH_SWEEPS = ("auto", "batch", "c", "python")
+#: Valid sweep-backend selectors for the batch kernel.  ``"auto"`` picks
+#: the compiled sweep when available and falls back to the Python twin;
+#: ``"c"`` / ``"python"`` pin a backend (``"c"`` raises if no compiler or
+#: load failure).
+BATCH_SWEEPS = ("auto", "c", "python")
 
 #: Raw-column batch entry, the instance-free construction path:
 #: ``(name, times, servers, num_servers, mu, lam, origin, start_time)``
@@ -224,7 +225,7 @@ class BatchLayout:
         total = t_all.shape[0]
         item_id = np.repeat(np.arange(len(n1), dtype=np.int64), n1)
 
-        # Validation — the vectorized twin of ProblemInstance._init_arrays.
+        # Validation — the whole-array twin of ProblemInstance._init_arrays.
         if np.any(mserv < 1):
             k = int(np.flatnonzero(mserv < 1)[0])
             raise InvalidInstanceError(
@@ -441,7 +442,7 @@ def _resolve_backend(kernel: str) -> str:
             f"batch sweep kernel must be one of {BATCH_SWEEPS}, "
             f"got {kernel!r}"
         )
-    if kernel in ("auto", "batch"):
+    if kernel == "auto":
         return batch_sweep_backend()
     if kernel == "c" and _load_sweep_lib() is None:
         raise RuntimeError(
@@ -474,7 +475,8 @@ def _sweep_python(
         org = int(layout.origin[item])
         mu = float(layout.mu[item])
         lam = float(layout.lam[item])
-        # Native scalars, exactly like solve_offline_frontier.
+        # Native scalars: a numpy scalar subscript costs ~10x a list
+        # subscript, which would dominate the O(1)-per-request budget.
         t = layout.t[sl].tolist()
         srv = layout.srv[sl].tolist()
         p = layout.p[sl].tolist()
@@ -665,17 +667,15 @@ def solve_offline_batch(
         dict), or an iterable of ``(name, instance)`` pairs.
     kernel:
         Sweep backend: ``"auto"`` (default; compiled C when available,
-        Python otherwise; ``"batch"`` is accepted as an alias so the
-        service layer can forward its kernel string), ``"c"``, or
-        ``"python"``.  Backends are bit-identical; the knob is purely
-        throughput/debugging.
+        Python otherwise), ``"c"``, or ``"python"``.  Backends are
+        bit-identical; the knob is purely for debugging and CI.
 
     Returns
     -------
     dict
         Name → :class:`~repro.offline.result.OfflineResult` in the input
         order, each bit-identical to
-        ``solve_offline(inst, kernel="frontier")`` on every field
+        :func:`repro.offline.naive.solve_offline_bisect` on every field
         (``C``/``D``/``served_by_cache``/``choice_d_tag``/``choice_d_k``,
         tie-breaks included).  Result arrays are read-only views into
         the batch's stacked outputs; ``instance`` is attached.

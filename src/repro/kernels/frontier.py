@@ -1,10 +1,10 @@
-"""The frontier DP kernel — amortised ``O(n + m + P)`` off-line sweep.
+"""The frontier pivot accumulator — amortised ``O(n + m + P)`` DP sweep.
 
-The reference solver (:mod:`repro.offline.dp`) enumerates the cover set
-``π(i)`` of Definition 8 afresh for every request: ``m`` pivot probes per
-request, ``O(mn)`` probes total, each paying interpreter or small-array
-numpy overhead.  This kernel computes the identical recurrences without
-ever *searching* for a pivot, by exploiting two monotonicity facts:
+The reference oracle (:func:`repro.offline.naive.solve_offline_bisect`)
+enumerates the cover set ``π(i)`` of Definition 8 afresh for every
+request: ``m`` pivot probes per request, ``O(mn)`` probes total.  The
+frontier sweep computes the identical recurrences without ever
+*searching* for a pivot, by exploiting two monotonicity facts:
 
 1. For a fixed server ``s``, the queries it issues are monotone: the
    ``i``-th request on ``s`` asks for pivots at ``q = p(i)``, which is
@@ -35,9 +35,13 @@ the adversarial worst case, perfect round-robin, degrades to the
 reference's ``O(mn)`` but with a far smaller constant).  Everything else
 is ``O(1)`` per request: total ``O(n + m + P)``.
 
-Bit-identity with the reference solver (asserted by
-``tests/offline/test_kernels.py`` and gated by
-``benchmarks/bench_dp_kernels.py``):
+:class:`FrontierState` holds that state for the one-request-at-a-time
+sweep of :class:`~repro.offline.streaming.StreamingSolver`; the batched
+sweep of :mod:`repro.kernels.batch` (C and Python) runs the same loop
+with the state inlined.  Bit-identity with the reference oracle
+(asserted by ``tests/offline/test_kernels.py`` and
+``tests/offline/test_batch_kernel.py``, gated by the DP kernel
+benchmark under ``benchmarks/``):
 
 * values: minima are order-independent, and ``D(i)``/``C(i)`` are
   assembled with the exact same floating-point expression, so ``C``,
@@ -53,15 +57,8 @@ Bit-identity with the reference solver (asserted by
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> prescan)
-    from ..core.instance import ProblemInstance
-    from ..offline.result import OfflineResult
-
-__all__ = ["solve_offline_frontier", "FrontierState"]
+__all__ = ["FrontierState"]
 
 _INF = math.inf
 
@@ -69,9 +66,8 @@ _INF = math.inf
 class FrontierState:
     """Incremental pivot-accumulator state of the frontier sweep.
 
-    One instance holds everything the kernel keeps between requests; it
-    is shared with :class:`~repro.offline.streaming.StreamingSolver`,
-    whose ``kernel="frontier"`` mode advances the very same state one
+    One instance holds everything the sweep keeps between requests;
+    :class:`~repro.offline.streaming.StreamingSolver` advances it one
     append at a time (the sweep is left-to-right, so batch and streaming
     runs of this state are the same computation).
 
@@ -163,120 +159,3 @@ class FrontierState:
         bwd[self.head] = server
         bwd[server] = -1
         self.head = server
-
-
-def solve_offline_frontier(instance: "ProblemInstance") -> "OfflineResult":
-    """Solve ``instance`` with the frontier kernel (see module docstring).
-
-    Returns an :class:`~repro.offline.result.OfflineResult` byte-identical
-    to ``solve_offline(instance, kernel="reference")`` in every field.
-    """
-    from ..offline.result import FROM_C, FROM_D, OfflineResult
-
-    n = instance.n
-    m = instance.num_servers
-    origin = instance.origin
-    # Native Python scalars: a numpy scalar subscript costs ~10x a list
-    # subscript, which would dominate the O(1)-per-request budget.
-    t = instance.t.tolist()
-    srv = instance.srv.tolist()
-    p = instance.p.tolist()
-    sigma = instance.sigma.tolist()
-    B = instance.B.tolist()
-    mu, lam = instance.cost.mu, instance.cost.lam
-
-    C = [0.0] * (n + 1)
-    D = [_INF] * (n + 1)
-    served = [False] * (n + 1)
-    tags = [-1] * (n + 1)
-    args = [-1] * (n + 1)
-
-    # FrontierState, inlined into locals: the two per-request method
-    # calls (push/reopen) cost more than the state updates themselves at
-    # this loop's time budget.  The streaming solver uses the class form.
-    open_q = [-1] * m
-    run_min = [_INF] * m
-    run_arg = [-1] * m
-    run_srv = [m] * m
-    fwd = [-1] * m
-    bwd = [-1] * m
-    listed = [False] * m
-    head = origin
-    listed[origin] = True
-    open_q[origin] = 0
-    run_arg[origin] = 0
-    run_srv[origin] = origin
-
-    t_prev = t[0]
-    c_prev = 0.0
-    B_prev = 0.0
-    for i in range(1, n + 1):
-        s = srv[i]
-        q = p[i]
-        t_i = t[i]
-        if q >= 0:
-            # Boundary case of Recurrence (5) vs the accumulated pivots.
-            best = C[q] - B[q]
-            acc = run_min[s]
-            if acc < best:
-                # Same expression, same operand order as the reference.
-                d_i = acc + mu * sigma[i] + B_prev
-                tags[i] = FROM_D
-                args[i] = run_arg[s]
-            else:
-                d_i = best + mu * sigma[i] + B_prev
-                tags[i] = FROM_C
-                args[i] = q
-            D[i] = d_i
-            via_transfer = c_prev + mu * (t_i - t_prev) + lam
-            if d_i <= via_transfer:
-                c_prev = d_i
-                served[i] = True
-            else:
-                c_prev = via_transfer
-        else:
-            d_i = _INF
-            c_prev = c_prev + mu * (t_i - t_prev) + lam
-        C[i] = c_prev
-        t_prev = t_i
-        B_prev = B[i]
-        value = d_i - B_prev
-        # push: offer D(i) − B_i to every server whose open window
-        # covers i (last request newer than p(i)) — a prefix of the
-        # recency list.
-        j = head
-        while j >= 0 and open_q[j] > q:
-            cur = run_min[j]
-            if value < cur or (value == cur and s < run_srv[j]):
-                run_min[j] = value
-                run_arg[j] = i
-                run_srv[j] = s
-            j = fwd[j]
-        # reopen: reset s's window at its own request (self-candidate
-        # seeds the minimum) and move s to the recency-list front.
-        open_q[s] = i
-        run_min[s] = value
-        run_arg[s] = i
-        run_srv[s] = s
-        if head != s:
-            if listed[s]:
-                nxt, prv = fwd[s], bwd[s]
-                fwd[prv] = nxt
-                if nxt >= 0:
-                    bwd[nxt] = prv
-            else:
-                listed[s] = True
-            fwd[s] = head
-            bwd[head] = s
-            bwd[s] = -1
-            head = s
-
-    return OfflineResult(
-        instance=instance,
-        C=np.asarray(C, dtype=np.float64),
-        D=np.asarray(D, dtype=np.float64),
-        served_by_cache=np.asarray(served, dtype=bool),
-        choice_d_tag=np.asarray(tags, dtype=np.int64),
-        choice_d_k=np.asarray(args, dtype=np.int64),
-        solver="fast-dp",
-    )

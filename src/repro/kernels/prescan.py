@@ -1,20 +1,19 @@
-"""Vectorized instance pre-scan — the ``p/σ/b/B`` arrays and pivot matrix.
+"""Whole-array instance pre-scan — the ``p/σ/b/B`` arrays.
 
 :class:`~repro.core.instance.ProblemInstance` construction performs the
-paper's pre-scan (proof of Theorem 2).  The reference formulation loops:
-per-server slices for ``p(i)``, and a backward per-row Python sweep for
-the pivot pointer matrix (Fig. 5) — ``O(n)`` interpreter iterations that
-dominate end-to-end time on small and medium instances once the DP sweep
-itself is fast.  This module computes the very same arrays with
+paper's pre-scan (proof of Theorem 2).  The reference formulation loops
+over per-server slices for ``p(i)`` — ``O(n)`` interpreter iterations
+that dominate end-to-end time on small and medium instances once the DP
+sweep itself is fast.  This module computes the very same arrays with
 whole-array numpy primitives (``argsort``/``searchsorted`` for grouping,
-``minimum.accumulate`` for the suffix sweep), so construction costs a
-handful of vector operations regardless of ``n``.
+``cumsum`` for the running bound), so construction costs a handful of
+vector operations regardless of ``n``.
 
 All functions are pure array-in/array-out (no instance types), keeping
 the kernel import-free of :mod:`repro.core`; the instance constructor
 calls them and the differential tests in ``tests/offline/test_kernels.py``
-pin them element-identical to the reference loops (kept below as
-``*_reference`` twins — they are the executable specification).
+pin them element-identical to the reference loop (kept below as
+:func:`prev_same_server_reference` — the executable specification).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "per_server_lists",
     "prev_same_server",
     "prescan_arrays",
-    "build_pivot_matrix",
 ]
 
 
@@ -82,28 +80,8 @@ def prescan_arrays(
     return p, sigma, b, B
 
 
-def build_pivot_matrix(servers: np.ndarray, num_servers: int) -> np.ndarray:
-    """``F[q, j] = min{k >= q : srv[k] == j}`` (``-1`` = none) — Fig. 5.
-
-    Scatter each request index into its server's column, then one
-    reversed in-place ``minimum.accumulate`` turns the columns into
-    suffix-minima; the extra all ``-1`` row ``F[n+1]`` matches the
-    reference layout.  The matrix is ``int32``: matrix mode only engages
-    below the ``~50M``-cell budget, so indices always fit, and halving
-    the element width halves the memory traffic of the build — the
-    dominant cost of instance construction on large traces.
-    """
-    n1 = servers.shape[0]
-    F = np.full((n1 + 1, num_servers), n1, dtype=np.int32)
-    F[np.arange(n1), servers] = np.arange(n1, dtype=np.int32)
-    rev = F[::-1]
-    np.minimum.accumulate(rev, axis=0, out=rev)
-    F[F == n1] = -1
-    return F
-
-
 # ---------------------------------------------------------------------------
-# Reference twins — the original loop formulations, kept verbatim as the
+# Reference twin — the original loop formulation, kept verbatim as the
 # executable specification for the differential suite.  Not used on any
 # hot path.
 # ---------------------------------------------------------------------------
@@ -118,13 +96,3 @@ def prev_same_server_reference(
         if idx.shape[0] > 1:
             p[idx[1:]] = idx[:-1]
     return p
-
-
-def build_pivot_matrix_reference(servers: np.ndarray, m: int) -> np.ndarray:
-    """Loop twin of :func:`build_pivot_matrix` (backward row sweep)."""
-    n1 = servers.shape[0]
-    F = np.full((n1 + 1, m), -1, dtype=np.int32)
-    for q in range(n1 - 1, -1, -1):
-        F[q] = F[q + 1]
-        F[q, servers[q]] = q
-    return F

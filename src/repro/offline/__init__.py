@@ -1,9 +1,11 @@
 """Off-line optimal algorithms (paper Section IV) and validation oracles.
 
-* :func:`solve_offline` — the paper's ``O(mn)`` fast DP (Contribution 1).
+* :func:`solve_offline` — the paper's ``O(mn)`` fast DP (Contribution 1),
+  a batch of one over :func:`repro.kernels.batch.solve_offline_batch`.
+* :func:`solve_offline_bisect` — the recurrences line by line with
+  binary-search pivots, ``O(nm log n)``: the reference oracle.
 * :func:`solve_offline_naive` — direct ``O(n²)`` sweep (correctness oracle
   and scaling baseline).
-* :func:`solve_offline_bisect` — binary-search pivots, ``O(nm log n)``.
 * :func:`solve_exact` — exponential subset-state oracle, also covering the
   heterogeneous-cost extension.
 * :func:`reconstruct_schedule` — optimal schedule via backtracking.

@@ -1,4 +1,4 @@
-"""Reference off-line solvers: the straightforward ``O(n²)`` sweep.
+"""Reference off-line solvers: the recurrences written out directly.
 
 The paper notes (Section IV) that a direct implementation of Recurrences
 (2) and (5) runs in ``O(n²)`` because computing ``D(i)`` may check up to
@@ -14,9 +14,11 @@ earlier indices — and serves two purposes:
   in a reproducible form; the ``O(n²)`` sweep plus the binary-search
   variant below bracket it — see DESIGN.md §2, Substitutions).
 
-``solve_offline_bisect`` is the intermediate variant: identical DP, but
-pivot candidates located by per-server binary search (``O(n m log n)``
-time, ``O(n + m)`` extra space).
+``solve_offline_bisect`` is the reference oracle of the fast solver: the
+same DP, with ``π(i)`` enumerated per request by one binary search per
+server (``O(n m log n)`` time, ``O(n + m)`` extra space).  It scans the
+servers in id order taking strict improvements, so its argmins — and
+therefore its reconstructed schedules — match the batch sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -79,15 +81,15 @@ def solve_offline_naive(instance: ProblemInstance) -> OfflineResult:
 def solve_offline_bisect(instance: ProblemInstance) -> OfflineResult:
     """Solve with binary-search pivot lookup (``O(n m log n)``).
 
-    Functionally identical to :func:`repro.offline.dp.solve_offline`; kept
-    as a distinct entry point so the scaling benchmark can chart all three
-    complexity classes side by side.
+    The reference oracle: every field of the result (cost vectors,
+    ``served_by_cache``, argmin choices) is bit-identical to
+    :func:`repro.offline.dp.solve_offline`.
     """
     n = instance.n
     t = instance.t
     p, sigma, B = instance.p, instance.sigma, instance.B
     mu, lam = instance.cost.mu, instance.cost.lam
-    lookup = PivotLookup(instance.srv, instance.num_servers, mode="bisect")
+    lookup = PivotLookup(instance.srv, instance.num_servers)
     m = instance.num_servers
 
     C = np.zeros(n + 1, dtype=np.float64)

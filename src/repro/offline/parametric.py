@@ -21,7 +21,9 @@ from typing import List, Sequence
 from ..core.instance import ProblemInstance
 from ..core.transforms import with_cost
 from ..core.types import CostModel
+from ..kernels.batch import solve_offline_batch
 from .dp import solve_offline
+from .result import OfflineResult
 
 __all__ = ["SensitivityPoint", "lambda_sensitivity", "lambda_breakpoints"]
 
@@ -49,11 +51,17 @@ class SensitivityPoint:
     copy_time: float
 
 
-def _solve_at(instance: ProblemInstance, lam: float) -> SensitivityPoint:
-    inst = with_cost(
+def _with_lam(instance: ProblemInstance, lam: float) -> ProblemInstance:
+    return with_cost(
         instance, CostModel(mu=instance.cost.mu, lam=lam, beta=instance.cost.beta)
     )
-    res = solve_offline(inst)
+
+
+def _solve_at(instance: ProblemInstance, lam: float) -> SensitivityPoint:
+    return _point(lam, solve_offline(_with_lam(instance, lam)))
+
+
+def _point(lam: float, res: OfflineResult) -> SensitivityPoint:
     sched = res.schedule().canonical()
     return SensitivityPoint(
         lam=lam,
@@ -72,7 +80,11 @@ def lambda_sensitivity(
         raise ValueError("need at least one lambda value")
     if grid[0] <= 0:
         raise ValueError("lambda values must be positive")
-    return [_solve_at(instance, lam) for lam in grid]
+    # The whole grid in one batched DP call.
+    batch = solve_offline_batch(
+        [(str(k), _with_lam(instance, lam)) for k, lam in enumerate(grid)]
+    )
+    return [_point(lam, res) for lam, res in zip(grid, batch.values())]
 
 
 def lambda_breakpoints(

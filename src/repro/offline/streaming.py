@@ -3,13 +3,11 @@
 The recurrences of Section IV sweep requests left to right and only ever
 look backward, so they support *online arrival of the off-line problem*:
 requests are appended one at a time and the optimal cost of the prefix
-is maintained.  The default ``kernel="frontier"`` advances the same
-incremental pivot accumulator as the batch frontier kernel
+is maintained.  Each append advances the same incremental pivot
+accumulator as the batch sweep
 (:class:`repro.kernels.frontier.FrontierState`) — amortised ``O(1 +
-|π(i)|)`` per append, ``O(n + m + P)`` for the stream.  The historic
-``kernel="reference"`` path re-bisects per server on every append
-(``O(m log n)`` each, ``O(nm log n)`` total); both produce bit-identical
-prefixes.
+|π(i)|)`` per append, ``O(n + m + P)`` for the stream — so every prefix
+is bit-identical to the batch solve of that prefix.
 
 This powers two things the batch solver cannot do:
 
@@ -26,7 +24,6 @@ usual; equality with the batch solver is property-tested.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import List, Optional
 
@@ -38,9 +35,6 @@ from ..kernels.frontier import FrontierState
 from .result import FROM_C, FROM_D, OfflineResult
 
 __all__ = ["StreamingSolver"]
-
-#: Valid ``kernel=`` values for :class:`StreamingSolver`.
-_KERNELS = ("auto", "frontier", "reference")
 
 
 class StreamingSolver:
@@ -56,12 +50,6 @@ class StreamingSolver:
         Server initially holding the item.
     start_time:
         ``t_0``.
-    kernel:
-        Per-append pivot machinery: ``"frontier"`` (incremental
-        accumulator, amortised ``O(1 + |π(i)|)`` per append) or
-        ``"reference"`` (per-server binary search, ``O(m log n)``).
-        ``"auto"`` (default) picks the frontier.  Identical results
-        either way — pinned by ``tests/offline/test_kernels.py``.
     """
 
     def __init__(
@@ -70,7 +58,6 @@ class StreamingSolver:
         cost: Optional[CostModel] = None,
         origin: int = 0,
         start_time: float = 0.0,
-        kernel: str = "auto",
     ):
         if num_servers <= 0:
             raise InvalidInstanceError(f"need m >= 1, got {num_servers}")
@@ -78,9 +65,6 @@ class StreamingSolver:
             raise InvalidInstanceError(
                 f"origin {origin} outside [0, {num_servers})"
             )
-        if kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-        self.kernel = "frontier" if kernel == "auto" else kernel
         self.m = num_servers
         self.cost = cost if cost is not None else CostModel()
         self.origin = origin
@@ -95,13 +79,7 @@ class StreamingSolver:
         self.D: List[float] = [math.inf]
         self._tag: List[int] = [-1]
         self._arg: List[int] = [-1]
-        self._on_server: List[List[int]] = [[] for _ in range(num_servers)]
-        self._on_server[origin].append(0)
-        self._frontier = (
-            FrontierState(num_servers, origin)
-            if self.kernel == "frontier"
-            else None
-        )
+        self._frontier = FrontierState(num_servers, origin)
 
     # -- core ------------------------------------------------------------------
 
@@ -132,8 +110,9 @@ class StreamingSolver:
             )
         mu, lam = self.cost.mu, self.cost.lam
         i = len(self.t)
-        own = self._on_server[server]
-        q = own[-1] if own else -1
+        fr = self._frontier
+        # The server's latest request index: the new request's p(i).
+        q = fr.open_q[server]
 
         self.t.append(time)
         self.srv.append(server)
@@ -145,27 +124,14 @@ class StreamingSolver:
         self.B.append(self.B[-1] + b_i)
 
         D_i, tag, arg = math.inf, -1, -1
-        fr = self._frontier
         if q >= 0:
             best = self.C[q] - self.B[q]
             tag, arg = FROM_C, q
-            if fr is not None:
-                # Frontier kernel: the accumulated running minimum IS
-                # the pivot minimum (value ties already broken toward
-                # the smaller server id, matching the scan below).
-                acc = fr.run_min[server]
-                if acc < best:
-                    best, tag, arg = acc, FROM_D, fr.run_arg[server]
-            else:
-                for j in range(self.m):
-                    idx = self._on_server[j]
-                    pos = bisect.bisect_left(idx, q)
-                    if pos < len(idx):
-                        k = idx[pos]
-                        if k < i:
-                            v = self.D[k] - self.B[k]
-                            if v < best:
-                                best, tag, arg = v, FROM_D, k
+            # The accumulated running minimum IS the pivot minimum
+            # (value ties already broken toward the smaller server id).
+            acc = fr.run_min[server]
+            if acc < best:
+                best, tag, arg = acc, FROM_D, fr.run_arg[server]
             D_i = best + mu * sigma + self.B[i - 1]
         self.D.append(D_i)
         self._tag.append(tag)
@@ -173,11 +139,9 @@ class StreamingSolver:
 
         via_transfer = self.C[i - 1] + mu * (time - self.t[i - 1]) + lam
         self.C.append(min(D_i, via_transfer))
-        own.append(i)
-        if fr is not None:
-            value = D_i - self.B[i]
-            fr.push(i, q, value, server)
-            fr.reopen(server, i, value)
+        value = D_i - self.B[i]
+        fr.push(i, q, value, server)
+        fr.reopen(server, i, value)
         return self.C[-1]
 
     def extend(self, requests) -> float:

@@ -71,7 +71,6 @@ class ClusterConfig:
     mu: float = 1.0
     lam: float = 1.0
     origin: int = 0
-    kernel: str = "auto"
     host: str = "127.0.0.1"
     queue_depth: int = 256
     degrade_watermark: float = 1.0
@@ -282,8 +281,6 @@ class ReplicaSet:
             str(config.lam),
             "--origin",
             str(config.origin),
-            "--kernel",
-            config.kernel,
             "serve",
             "--host",
             config.host,

@@ -39,9 +39,9 @@ Segment lifetime rules (also documented in ``docs/API.md``):
 * An ``atexit`` hook releases anything still live at interpreter exit.
 
 Determinism: the arena stores the instances' own ``t``/``srv`` bytes and
-workers rebuild instances with the same deterministic constructor used
-serially, so results through this transport are bit-identical to serial
-solves — the same guarantee (and tests) the pickled transport carries.
+workers pre-scan them with the same deterministic code used serially, so
+results through this transport are bit-identical to serial solves — the
+same guarantee (and tests) the pickled transport carries.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel
-from ..offline.dp import solve_offline
 from ..offline.result import OfflineResult
 from ..online.base import OnlineAlgorithm
 from ..sim.recorder import OnlineRunResult
@@ -160,10 +159,10 @@ def _aligned(offset: int) -> int:
 # Arena: the service's raw request columns, packed once, attached per worker.
 # ---------------------------------------------------------------------------
 
-#: Per-item arena entry: (name, n, t_offset, srv_offset, origin, start_time,
-#: pivot_mode).  Travels to workers as a plain tuple — a few dozen bytes per
-#: item versus the kilobytes the pickled transport ships.
-ArenaEntry = Tuple[str, int, int, int, int, float, str]
+#: Per-item arena entry: (name, n, t_offset, srv_offset, origin, start_time).
+#: Travels to workers as a plain tuple — a few dozen bytes per item versus
+#: the kilobytes the pickled transport ships.
+ArenaEntry = Tuple[str, int, int, int, int, float]
 
 
 class ServiceArena:
@@ -207,7 +206,6 @@ class ServiceArena:
                     srv_off,
                     inst.origin,
                     float(inst.t[0]),
-                    inst._pivots.mode,
                 )
             return cls(shm, entries, service.num_servers, service.cost)
         except BaseException:
@@ -313,7 +311,7 @@ def _worker_instance(
     arena_name: str, meta: Tuple[int, float, float], entry: ArenaEntry
 ) -> ProblemInstance:
     shm, instances = _worker_arena(arena_name)
-    name, n, t_off, srv_off, origin, start, pivot_mode = entry
+    name, n, t_off, srv_off, origin, start = entry
     inst = instances.get(name)
     if inst is None:
         m, mu, lam = meta
@@ -324,80 +322,67 @@ def _worker_instance(
             cost=CostModel(mu=mu, lam=lam),
             origin=origin,
             start_time=start,
-            pivot_mode=pivot_mode,
         )
         instances[name] = inst
     return inst
+
+
+def _worker_layout(
+    arena_name: str,
+    meta: Tuple[int, float, float],
+    entries: Sequence[ArenaEntry],
+):
+    """Pack a shard straight from the arena's zero-copy column views."""
+    from ..kernels.batch import BatchLayout
+
+    shm, _ = _worker_arena(arena_name)
+    m, mu, lam = meta
+    return BatchLayout.from_columns(
+        [
+            (
+                name,
+                np.frombuffer(shm.buf, np.float64, n, t_off),
+                np.frombuffer(shm.buf, np.int64, n, srv_off),
+                m,
+                mu,
+                lam,
+                origin,
+                start,
+            )
+            for name, n, t_off, srv_off, origin, start in entries
+        ]
+    )
 
 
 def _worker_solve_shard(
     arena_name: str,
     meta: Tuple[int, float, float],
     entries: Sequence[ArenaEntry],
-    kernel: str,
     result_name: str,
     result_entries: Sequence[ResultEntry],
 ) -> List[Tuple[str, str]]:
     """Solve one shard, writing result arrays into the shared region.
 
     Returns only ``(item name, solver tag)`` pairs — the arrays never
-    cross the pipe.  With ``kernel`` ``"auto"``/``"batch"`` the whole
-    shard is solved by ONE call to the batched instance-major kernel,
-    packed straight from the arena's zero-copy column views — no
-    instance construction (and no pivot-matrix build) in the worker at
-    all.  ``"frontier"``/``"reference"`` keep the per-item path with
-    its cached instance builds.
+    cross the pipe.  The whole shard is solved by ONE call to the
+    batched instance-major sweep, packed straight from the arena's
+    zero-copy column views — no instance construction in the worker.
     """
-    from ..kernels.batch import BatchLayout, solve_layout
+    from ..kernels.batch import solve_layout
 
     res_shm = _WORKER_RESULTS.get(result_name)
     if res_shm is None:
         res_shm = _attach_untracked(result_name)
         _worker_cache_put(_WORKER_RESULTS, result_name, res_shm)
+    results = solve_layout(_worker_layout(arena_name, meta, entries))
     out: List[Tuple[str, str]] = []
-    if kernel in ("auto", "batch"):
-        shm, _ = _worker_arena(arena_name)
-        m, mu, lam = meta
-        layout = BatchLayout.from_columns(
-            [
-                (
-                    name,
-                    np.frombuffer(shm.buf, np.float64, n, t_off),
-                    np.frombuffer(shm.buf, np.int64, n, srv_off),
-                    m,
-                    mu,
-                    lam,
-                    origin,
-                    start,
-                )
-                for name, n, t_off, srv_off, origin, start, _mode in entries
-            ]
-        )
-        results = solve_layout(layout)
-        for entry, res_entry, res in zip(entries, result_entries, results):
-            views = _result_views(res_shm.buf, res_entry)
-            for view, src in zip(
-                views,
-                (
-                    res.C,
-                    res.D,
-                    res.served_by_cache,
-                    res.choice_d_tag,
-                    res.choice_d_k,
-                ),
-            ):
-                view[:] = src  # copy out of the batch's shared arrays
-            out.append((entry[0], res.solver))
-        return out
-    for entry, res_entry in zip(entries, result_entries):
-        inst = _worker_instance(arena_name, meta, entry)
-        res = solve_offline(inst, kernel=kernel)
+    for entry, res_entry, res in zip(entries, result_entries, results):
         views = _result_views(res_shm.buf, res_entry)
         for view, src in zip(
             views,
             (res.C, res.D, res.served_by_cache, res.choice_d_tag, res.choice_d_k),
         ):
-            view[:] = src
+            view[:] = src  # copy out of the batch's shared arrays
         out.append((entry[0], res.solver))
     return out
 
@@ -418,7 +403,6 @@ def _worker_run_shard(
     batched online-kernel call packed straight from the arena's
     zero-copy column views — no instance construction in the worker at
     all — bit-identical to the per-item loop."""
-    from ..kernels.batch import BatchLayout
     from ..kernels.online import run_online_layout, vector_policy_config
 
     probe = policy_factory()
@@ -427,23 +411,7 @@ def _worker_run_shard(
         if not entries:
             return []
         window_factor, epoch_size, algo_name = config
-        shm, _ = _worker_arena(arena_name)
-        m, mu, lam = meta
-        layout = BatchLayout.from_columns(
-            [
-                (
-                    name,
-                    np.frombuffer(shm.buf, np.float64, n, t_off),
-                    np.frombuffer(shm.buf, np.int64, n, srv_off),
-                    m,
-                    mu,
-                    lam,
-                    origin,
-                    start,
-                )
-                for name, n, t_off, srv_off, origin, start, _mode in entries
-            ]
-        )
+        layout = _worker_layout(arena_name, meta, entries)
         runs = run_online_layout(
             layout, window_factor, epoch_size, algorithm_name=algo_name
         )
@@ -591,11 +559,14 @@ def _close_pool_state(state: dict, join_timeout: Optional[float] = 5.0) -> None:
         if state.get("_services") is not None:
             state["_services"].clear()
     if executor is not None:
+        # Snapshot the workers first: shutdown() drops the executor's
+        # own reference to them (``_processes = None``) before they exit.
+        procs = list((getattr(executor, "_processes", None) or {}).values())
         executor.shutdown(wait=False, cancel_futures=True)
         deadline = (
             time.monotonic() + join_timeout if join_timeout is not None else None
         )
-        for proc in list((getattr(executor, "_processes", None) or {}).values()):
+        for proc in procs:
             remaining = (
                 max(0.0, deadline - time.monotonic())
                 if deadline is not None
@@ -811,7 +782,6 @@ class ServicePool:
         service,
         shards: Optional[int] = None,
         shard_strategy: str = "size",
-        kernel: str = "auto",
     ):
         """Zero-copy parallel twin of :func:`repro.service.multi.solve_offline_multi`.
 
@@ -828,7 +798,6 @@ class ServicePool:
                 arena.shm.name,
                 meta,
                 [arena.entries[name] for name in shard],
-                kernel,
                 region.shm.name,
                 [region.entries[name] for name in shard],
             )

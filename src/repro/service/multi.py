@@ -40,7 +40,7 @@ import numpy as np
 from ..analysis.parallel import _check_picklable_callable, parallel_map
 from ..core.instance import ProblemInstance
 from ..core.types import CostModel, InvalidInstanceError
-from ..offline.dp import solve_offline
+from ..kernels.batch import solve_offline_batch
 from ..offline.result import OfflineResult
 from ..online.base import OnlineAlgorithm
 from ..sim.recorder import OnlineRunResult
@@ -117,7 +117,7 @@ class MultiItemInstance:
 
         ``trace`` is a :class:`~repro.workloads.columnar.ColumnarTrace`
         or a path to one.  Per-item sequences are carved out of the
-        mapped columns with vectorized masks — no intermediate
+        mapped columns with whole-array masks — no intermediate
         :class:`~repro.workloads.traces.TraceRecord` objects — and each
         is mined with the same construction as :meth:`from_records`, so
         the result is bit-identical to the CSV path on the same log.
@@ -220,16 +220,6 @@ def _shard_tasks(
     ]
 
 
-def _shard_solve_tasks(
-    service: MultiItemInstance, shards: int, strategy: str, kernel: str
-) -> List[tuple]:
-    """Like :func:`_shard_tasks`, with the DP kernel riding along."""
-    return [
-        task + (kernel,)
-        for task in _shard_tasks(service, shards, strategy)
-    ]
-
-
 def _merge_shard_results(
     service: MultiItemInstance, shard_results: Iterable[List[tuple]]
 ) -> Dict[str, object]:
@@ -255,12 +245,15 @@ def solve_offline_multi(
     processes: Optional[int] = None,
     shards: Optional[int] = None,
     shard_strategy: str = "size",
-    kernel: str = "auto",
     transport: str = "shm",
     pool: Optional["ServicePool"] = None,
 ) -> MultiItemOfflineResult:
     """Optimal service-level schedule: per-item fast DP, exact by
     decomposition (no capacity coupling in the homogeneous model).
+
+    The whole service (serially) or each shard (in workers) is solved
+    with ONE call to the batched instance-major sweep
+    (:mod:`repro.kernels.batch`).
 
     Parameters
     ----------
@@ -275,15 +268,6 @@ def solve_offline_multi(
     shard_strategy:
         ``"size"`` (default) or ``"hash"``; see
         :func:`repro.service.sharding.plan_shards`.
-    kernel:
-        DP sweep — ``"auto"`` / ``"frontier"`` / ``"reference"`` /
-        ``"batch"``.  ``"auto"`` (default) and ``"batch"`` solve the
-        whole service (serially) or each shard (in workers) with ONE
-        call to the batched instance-major kernel
-        (:func:`repro.kernels.batch.solve_offline_batch`);
-        ``"frontier"``/``"reference"`` run
-        :func:`repro.offline.dp.solve_offline` per item.  All choices
-        are bit-identical.
     transport:
         ``"shm"`` (default) ships shards through the zero-copy
         shared-memory fabric (:mod:`repro.service.fabric`);
@@ -306,25 +290,10 @@ def solve_offline_multi(
             f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
     if pool is not None:
-        return pool.solve(
-            service, shards=shards, shard_strategy=shard_strategy, kernel=kernel
-        )
+        return pool.solve(service, shards=shards, shard_strategy=shard_strategy)
     if processes is None or processes == 1:
-        if kernel in ("auto", "batch"):
-            # One batched kernel call for the whole service: the packed
-            # instance-major sweep (repro.kernels.batch) replaces the
-            # per-item solve_offline loop — same arrays bit-for-bit,
-            # but the per-item Python orchestration cost is gone.
-            from ..kernels.batch import solve_offline_batch
-
-            return MultiItemOfflineResult(
-                per_item=solve_offline_batch(service.items)
-            )
         return MultiItemOfflineResult(
-            per_item={
-                name: solve_offline(inst, kernel=kernel)
-                for name, inst in service.items.items()
-            }
+            per_item=solve_offline_batch(service.items)
         )
     if transport == "shm":
         from .fabric import ServicePool
@@ -334,11 +303,8 @@ def solve_offline_multi(
                 service,
                 shards=shards,
                 shard_strategy=shard_strategy,
-                kernel=kernel,
             )
-    tasks = _shard_solve_tasks(
-        service, shards or processes, shard_strategy, kernel
-    )
+    tasks = _shard_tasks(service, shards or processes, shard_strategy)
     results = parallel_map(_solve_shard, tasks, processes=processes)
     per_item = _merge_shard_results(service, results)
     for name, res in per_item.items():

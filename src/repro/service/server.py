@@ -135,7 +135,6 @@ class ServerConfig:
     mu: float = 1.0
     lam: float = 1.0
     origin: int = 0
-    kernel: str = "auto"
     #: Bounded per-shard queue depth (admission limit).
     queue_depth: int = 256
     #: Fraction of ``queue_depth`` beyond which service degrades.
@@ -324,7 +323,6 @@ class _Shard:
                     self.config.num_servers,
                     cost=cost,
                     origin=self.config.origin,
-                    kernel=self.config.kernel,
                 )
                 self.solvers[item] = solver
             prev_t = solver.t[-1]
@@ -777,7 +775,7 @@ class CacheServer:
             except CircuitOpenError as exc:
                 return {"error": str(exc), "_status": 503}
         else:
-            off = solve_offline_multi(service, kernel=self.config.kernel)
+            off = solve_offline_multi(service)
         offline_total = off.total_cost
         drift = abs(offline_total - streaming_total)
         return {

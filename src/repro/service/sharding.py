@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from dataclasses import replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.instance import ProblemInstance
 from ..kernels.batch import BatchLayout, solve_layout
 from ..kernels.online import run_online_layout, vector_policy_config
-from ..offline.dp import solve_offline
 from ..offline.result import OfflineResult
 from ..online.base import OnlineAlgorithm
 from ..sim.recorder import OnlineRunResult
@@ -112,14 +110,11 @@ def plan_shards(
 # same raw columns through a SharedMemory arena instead of the pool pipe
 # and is the default (``transport="shm"``).  Here, shards travel as
 # *packed* descriptors — the raw request arrays plus construction
-# parameters, never the pre-scanned instance.  The pivot matrix alone is
-# ``m × n`` int64, an order of magnitude more bytes than the arrays it
-# derives from, and instance construction is deterministic — so
-# rebuilding in the worker both shrinks the outbound pickle and moves
-# the O(mn) pre-scan into the parallel section while keeping results
-# bit-identical.  Both transports rebuild instances with the same
-# deterministic constructor, so results agree bit-for-bit with each
-# other and with serial runs.
+# parameters, never the pre-scanned instance.  The pre-scan is
+# deterministic, so redoing it in the worker shrinks the outbound pickle
+# and moves that work into the parallel section while keeping results
+# bit-identical.  Both transports pre-scan the same raw columns, so
+# results agree bit-for-bit with each other and with serial runs.
 # ---------------------------------------------------------------------------
 
 
@@ -133,69 +128,47 @@ def _pack_item(name: str, inst: ProblemInstance) -> Tuple:
         inst.cost,
         inst.origin,
         float(inst.t[0]),
-        inst._pivots.mode,  # resolved, so the worker keeps the same backend
     )
 
 
 def _unpack_item(desc: Tuple) -> Tuple[str, ProblemInstance]:
     """Rebuild the instance a descriptor encodes (bit-identical pre-scan)."""
-    name, t, srv, m, cost, origin, start, pivot_mode = desc
+    name, t, srv, m, cost, origin, start = desc
     inst = ProblemInstance.from_arrays(
-        t,
-        srv,
-        num_servers=m,
-        cost=cost,
-        origin=origin,
-        start_time=start,
-        pivot_mode=pivot_mode,
+        t, srv, num_servers=m, cost=cost, origin=origin, start_time=start
     )
     return name, inst
 
 
-def _solve_shard(
-    descs: Sequence[Tuple], kernel: str = "auto"
-) -> List[Tuple[str, OfflineResult]]:
+def _layout_from_descs(descs: Sequence[Tuple]) -> BatchLayout:
+    """Pack a shard's descriptors straight from their raw columns."""
+    return BatchLayout.from_columns(
+        [
+            (name, t, srv, m, cost.mu, cost.lam, origin, start)
+            for name, t, srv, m, cost, origin, start in descs
+        ]
+    )
+
+
+def _solve_shard(descs: Sequence[Tuple]) -> List[Tuple[str, OfflineResult]]:
     """Solve every item in one shard with the fast DP (pickle transport).
 
-    ``kernel`` selects the DP sweep (``"auto"``/``"frontier"``/
-    ``"reference"``/``"batch"``, see :func:`repro.offline.dp.solve_offline`)
-    — the choice travels with the shard so workers and the serial path
-    run the same code, and results stay bit-identical regardless.
-
-    ``"auto"`` and ``"batch"`` solve the whole shard with ONE call to the
-    batched instance-major kernel, straight from the descriptors' raw
-    columns (:meth:`repro.kernels.batch.BatchLayout.from_columns`) —
-    no per-item instance rebuild, no pivot-matrix build, no per-item
-    Python loop.  ``"frontier"``/``"reference"`` keep the per-item path.
+    The whole shard is ONE call to the batched instance-major sweep,
+    packed straight from the descriptors' raw columns
+    (:meth:`repro.kernels.batch.BatchLayout.from_columns`) — no per-item
+    instance rebuild, no per-item Python loop.
 
     Instances never cross back over the pool boundary — the parent holds
     the equivalent object and re-attaches it on merge, so only the DP's
-    cost/choice vectors pay the return pickle.  The batch path's results
-    are born instance-free; the per-item path strips via
-    ``dataclasses.replace`` rather than mutating the solver's returned
-    object in place (batch results are views into shared stacked arrays,
-    and the same discipline keeps every result object immutable-by-
-    convention).  (The shm transport goes further: workers write the
-    vectors into a preallocated shared result region and return only
-    ``(name, solver)`` acks — see
-    :func:`repro.service.fabric._worker_solve_shard`.)
+    cost/choice vectors pay the return pickle; batch results are born
+    instance-free.  They are read-only views into the batch's stacked
+    arrays, so shard-mates can never corrupt each other in place.  (The
+    shm transport goes further: workers write the vectors into a
+    preallocated shared result region and return only ``(name,
+    solver)`` acks — see :func:`repro.service.fabric._worker_solve_shard`.)
     """
-    if kernel in ("auto", "batch"):
-        layout = BatchLayout.from_columns(
-            [
-                (name, t, srv, m, cost.mu, cost.lam, origin, start)
-                for name, t, srv, m, cost, origin, start, _mode in descs
-            ]
-        )
-        return list(zip(layout.names, solve_layout(layout)))
-    out: List[Tuple[str, OfflineResult]] = []
-    for desc in descs:
-        name, inst = _unpack_item(desc)
-        res = solve_offline(inst, kernel=kernel)
-        # Strip a *copy*, never the returned object: solvers may hand
-        # back views into shared arrays.
-        out.append((name, replace(res, instance=None, _schedule=None)))
-    return out
+    layout = _layout_from_descs(descs)
+    return list(zip(layout.names, solve_layout(layout)))
 
 
 def _run_shard(
@@ -217,12 +190,7 @@ def _run_shard(
         if not descs:
             return []
         window_factor, epoch_size, algo_name = config
-        layout = BatchLayout.from_columns(
-            [
-                (name, t, srv, m, cost.mu, cost.lam, origin, start)
-                for name, t, srv, m, cost, origin, start, _mode in descs
-            ]
-        )
+        layout = _layout_from_descs(descs)
         runs = run_online_layout(
             layout, window_factor, epoch_size, algorithm_name=algo_name
         )

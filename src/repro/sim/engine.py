@@ -21,11 +21,11 @@ first-class observed outcome rather than a crash of the simulation.
 :meth:`ReplayDriver.step` call.  The step granularity is what makes runs
 supervisable: the :mod:`repro.runtime` layer journals each delivered
 event, snapshots the driver between steps, and resumes a killed run
-bit-identically from ``snapshot + journal tail``.  Fault-free
-:func:`run_online` takes the array-backed fast path of
-:mod:`repro.kernels.replay` by default — the same hook-call sequence
-without per-event object dispatch — and falls back to the driver with
-``fast=False``.
+bit-identically from ``snapshot + journal tail``.  Fault-free per-event
+:func:`run_online` runs take the array-backed path of
+:mod:`repro.kernels.replay` — the same hook-call sequence without
+per-event object dispatch, pinned against a stepwise driver run by the
+engine tests.
 
 Event tie-break contract (pinned by ``tests/sim/test_engine.py``):
 at equal instants delivery order is **recover < crash < request** —
@@ -351,7 +351,6 @@ class ReplayDriver:
 def run_online(
     algorithm: "OnlineAlgorithm",
     instance: ProblemInstance,
-    fast: bool = True,
     kernel: str = "auto",
 ) -> OnlineRunResult:
     """Drive ``algorithm`` over ``instance`` and return the run result.
@@ -366,17 +365,15 @@ def run_online(
     * ``"auto"`` (default): the array-native vector kernel of
       :mod:`repro.kernels.online` when the policy is exactly
       :class:`~repro.online.speculative.SpeculativeCaching` (no
-      subclass) and ``fast`` is on; the per-event path otherwise.
+      subclass); the per-event path otherwise.
     * ``"event"``: always replay through the policy's own hooks.
     * ``"vector"``: require the vector kernel; raises ``ValueError``
       for policies it cannot replicate.
 
-    On the per-event path, ``fast=True`` (default) replays through the
-    array-backed loop of :mod:`repro.kernels.replay` — no per-event
-    dataclass dispatch, same hook-call sequence, bit-identical results
-    (the engine test-suite pins this against a stepwise
-    :class:`ReplayDriver` run).  Pass ``fast=False`` to force the
-    driver path, e.g. when profiling the stepwise machinery itself.
+    The per-event path replays through the array-backed loop of
+    :mod:`repro.kernels.replay` — no per-event dataclass dispatch, same
+    hook-call sequence as a stepwise :class:`ReplayDriver` run, and
+    bit-identical results (pinned by the engine test-suite).
     """
     from ..kernels.online import ONLINE_KERNELS, run_online_vector, vectorizable
 
@@ -384,7 +381,7 @@ def run_online(
         raise ValueError(
             f"unknown online kernel {kernel!r}; valid: {ONLINE_KERNELS}"
         )
-    if kernel == "vector" or (kernel == "auto" and fast and vectorizable(algorithm)):
+    if kernel == "vector" or (kernel == "auto" and vectorizable(algorithm)):
         if not vectorizable(algorithm):
             raise ValueError(
                 f"kernel='vector' requires a plain SpeculativeCaching "
@@ -398,15 +395,10 @@ def run_online(
             epoch_size=algorithm.epoch_size,
             algorithm_name=algorithm.name,
         )
-    if fast:
-        from ..kernels.replay import replay_fault_free
+    from ..kernels.replay import replay_fault_free
 
-        _check_time_order(instance)
-        return replay_fault_free(algorithm, instance)
-    driver = ReplayDriver(algorithm, instance)
-    while not driver.done:
-        driver.step()
-    return driver.finish()
+    _check_time_order(instance)
+    return replay_fault_free(algorithm, instance)
 
 
 def run_online_faulty(

@@ -455,7 +455,7 @@ def mine_instance_columnar(
 ) -> ProblemInstance:
     """Columnar twin of :func:`repro.workloads.traces.mine_instance`.
 
-    Selection (vectorized mask), ordering (stable sort by time) and the
+    Selection (whole-array mask), ordering (stable sort by time) and the
     min-gap sweep all match the CSV miner's semantics exactly, and the
     construction tail is literally shared — same instance, bit for bit,
     with zero per-row Python objects.

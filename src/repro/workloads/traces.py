@@ -142,7 +142,7 @@ def _enforce_min_gap(times: np.ndarray, min_gap: float) -> np.ndarray:
     the (possibly nudged) predecessor — including its floating-point
     evaluation order, so the CSV and columnar mining paths produce
     bit-identical instances.  Already-clean logs (the common case) cost
-    one vectorized check; the scalar loop runs only from the first
+    one whole-array check; the scalar loop runs only from the first
     violation onward.
     """
     if times.shape[0] < 2 or bool(np.all(np.diff(times) > 0)):

@@ -130,37 +130,22 @@ class TestPivotLookup:
             return []
         return sorted(k for k in range(0, i) if inst.p[k] < q <= k)
 
-    @pytest.mark.parametrize("mode", ["matrix", "bisect"])
-    def test_cover_set_matches_bruteforce(self, mode, rng):
+    def test_cover_set_matches_bruteforce(self, rng):
         for _ in range(30):
             m = int(rng.integers(1, 6))
             n = int(rng.integers(1, 25))
             t = np.cumsum(rng.uniform(0.05, 2.0, size=n))
             srv = rng.integers(0, m, size=n)
-            inst = ProblemInstance.from_arrays(
-                t, srv, num_servers=m, pivot_mode=mode
-            )
+            inst = ProblemInstance.from_arrays(t, srv, num_servers=m)
             for i in range(1, n + 1):
                 assert sorted(inst.cover_set(i)) == self.brute_cover_set(inst, i)
-
-    def test_modes_agree(self, rng):
-        t = np.cumsum(rng.uniform(0.05, 2.0, size=40))
-        srv = rng.integers(0, 4, size=40)
-        a = ProblemInstance.from_arrays(t, srv, num_servers=4, pivot_mode="matrix")
-        b = ProblemInstance.from_arrays(t, srv, num_servers=4, pivot_mode="bisect")
-        for i in range(1, 41):
-            assert sorted(a.cover_set(i)) == sorted(b.cover_set(i))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown pivot"):
-            PivotLookup(np.array([0, 1]), 2, mode="nope")
 
     def test_requests_on(self, fig6):
         assert list(fig6.requests_on(1)) == [1, 5, 6]
         assert list(fig6.requests_on(0)) == [0, 4]
 
     def test_first_at_or_after(self, fig6):
-        lk = PivotLookup(fig6.srv, fig6.num_servers, mode="matrix")
+        lk = PivotLookup(fig6.srv, fig6.num_servers)
         assert lk.first_at_or_after(1, 2) == 5
         assert lk.first_at_or_after(3, 4) == -1
 

@@ -1,7 +1,8 @@
 """Differential suite for the batched instance-major DP kernel.
 
-Batch results must be *byte-identical* to per-item
-``kernel="frontier"`` solves on every field — including the
+Batch results must be *byte-identical* to the reference oracle
+``solve_offline_bisect`` and to per-item solves (a batch of one each)
+on every field — including the
 ``(value, server-id)`` lexicographic argmin tie-breaks — for ragged
 batches (mixed ``n`` and ``m``), degenerate fleets (``m = 1``),
 single-item batches, duplicate timestamps across items, and tie-heavy
@@ -16,30 +17,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, ProblemInstance, solve_offline
+from repro import CostModel, ProblemInstance, solve_offline, solve_offline_bisect
 from repro.core.types import InvalidInstanceError
-from repro.kernels import solve_offline_frontier
 from repro.kernels.batch import (
     BATCH_SWEEPS,
     BatchLayout,
-    batch_sweep_backend,
     solve_layout,
     solve_offline_batch,
 )
 from repro.offline.streaming import StreamingSolver
 
 from ..conftest import instances, make_instance
-from .test_kernels import assert_bit_identical, tie_heavy_instances
+from .test_kernels import BACKENDS, assert_bit_identical, tie_heavy_instances
 
 _SETTINGS = dict(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-#: Every backend runnable on this box.  The Python sweep always exists;
-#: the C sweep joins when a system compiler produced the shared object.
-BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
 
 
 def _column_entry(name, inst):
@@ -56,9 +51,17 @@ def _column_entry(name, inst):
     )
 
 
+def oracle_solves(items):
+    """Per-item reference-oracle results, keyed like ``items``."""
+    return {name: solve_offline_bisect(inst) for name, inst in items.items()}
+
+
 def assert_batch_matches_frontier(batch, per_item):
+    """Each batched result equals the oracle and the item's own
+    frontier sweep (a batch of one)."""
     for name, res in batch.items():
         assert_bit_identical(per_item[name], res)
+        assert_bit_identical(solve_offline(per_item[name].instance), res)
 
 
 @st.composite
@@ -73,9 +76,7 @@ class TestBatchVsFrontier:
     @given(items=instance_batches())
     @settings(**_SETTINGS)
     def test_ragged_batches(self, backend, items):
-        per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
-        }
+        per_item = oracle_solves(items)
         batch = solve_offline_batch(items, kernel=backend)
         assert list(batch) == list(items)  # input key order preserved
         assert_batch_matches_frontier(batch, per_item)
@@ -87,9 +88,7 @@ class TestBatchVsFrontier:
         # Integer gaps with mu = lam = 1: many exactly-equal D candidates,
         # exercising the (value, server-id) lexicographic argmin.
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
-        per_item = {
-            name: solve_offline_frontier(inst) for name, inst in named.items()
-        }
+        per_item = oracle_solves(named)
         assert_batch_matches_frontier(
             solve_offline_batch(named, kernel=backend), per_item
         )
@@ -99,9 +98,7 @@ class TestBatchVsFrontier:
     @settings(**_SETTINGS)
     def test_single_server_batches(self, backend, items):
         named = {f"item-{k}": inst for k, inst in enumerate(items)}
-        per_item = {
-            name: solve_offline_frontier(inst) for name, inst in named.items()
-        }
+        per_item = oracle_solves(named)
         assert_batch_matches_frontier(
             solve_offline_batch(named, kernel=backend), per_item
         )
@@ -111,7 +108,7 @@ class TestBatchVsFrontier:
     @settings(**_SETTINGS)
     def test_single_item_batch(self, backend, inst):
         batch = solve_offline_batch({"only": inst}, kernel=backend)
-        assert_bit_identical(solve_offline_frontier(inst), batch["only"])
+        assert_bit_identical(solve_offline_bisect(inst), batch["only"])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_timestamps_across_items(self, backend):
@@ -123,9 +120,7 @@ class TestBatchVsFrontier:
             f"item-{k}": make_instance(times, [k % 3, (k + 1) % 3, 0, 2], m=3)
             for k in range(5)
         }
-        per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
-        }
+        per_item = oracle_solves(items)
         assert_batch_matches_frontier(
             solve_offline_batch(items, kernel=backend), per_item
         )
@@ -147,11 +142,13 @@ class TestBatchVsFrontier:
             assert_bit_identical(a[name], b[name])
 
     def test_solve_offline_kernel_batch_single_instance(self):
+        # solve_offline is a batch of one: same sweep, same read-only views.
         inst = make_instance([1.0, 2.0, 3.5, 5.0], [0, 1, 0, 1], m=2)
-        res = solve_offline(inst, kernel="batch")
+        res = solve_offline(inst)
         assert res.instance is inst
         assert res.solver == "batch-dp"
-        assert_bit_identical(solve_offline_frontier(inst), res)
+        assert not res.C.flags.writeable
+        assert_bit_identical(solve_offline_bisect(inst), res)
 
     def test_empty_batch(self):
         assert solve_offline_batch({}) == {}
@@ -292,9 +289,7 @@ class TestBatchLayout:
                 origin=1,
             ),
         }
-        per_item = {
-            name: solve_offline_frontier(inst) for name, inst in items.items()
-        }
+        per_item = oracle_solves(items)
         assert_batch_matches_frontier(solve_offline_batch(items), per_item)
 
     def test_solve_layout_results_carry_no_instance(self):

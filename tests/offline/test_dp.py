@@ -78,72 +78,23 @@ class TestSolverAgreement:
         )
         fast = solve_offline(inst)
         assert fast.agrees_with(solve_offline_naive(inst))
-        assert fast.agrees_with(solve_offline_bisect(inst))
+        assert_bit_identical(solve_offline_bisect(inst), fast)
 
-    def test_vectorized_and_scalar_paths_agree(self, rng):
+    def test_large_fleet_matches_oracle(self, rng):
+        # Many servers, few requests each: wide cover sets per request.
         t = np.cumsum(rng.uniform(0.05, 1.0, size=120))
         srv = rng.integers(0, 60, size=120)
         inst = ProblemInstance.from_arrays(t, srv, num_servers=60)
-        a = solve_offline(inst, vectorized=True, kernel="reference")
-        b = solve_offline(inst, vectorized=False, kernel="reference")
-        assert a.agrees_with(b)
-
-    def test_unknown_vectorized_string_rejected(self, rng):
-        # Regression: any non-"auto" string is truthy, so
-        # vectorized="false" used to silently behave as vectorized=True.
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=10))
-        srv = rng.integers(0, 4, size=10)
-        inst = ProblemInstance.from_arrays(t, srv, num_servers=4)
-        for bad in ("false", "true", "False", "yes", ""):
-            with pytest.raises(ValueError, match="vectorized"):
-                solve_offline(inst, vectorized=bad)
-        assert solve_offline(inst, vectorized="auto").agrees_with(
-            solve_offline(inst, vectorized=False, kernel="reference")
-        )
+        assert_bit_identical(solve_offline_bisect(inst), solve_offline(inst))
 
     @pytest.mark.parametrize("vectorized", [True, False, "auto"])
     @pytest.mark.parametrize("kernel", ["auto", "frontier", "reference", "batch"])
-    def test_dispatch_matrix(self, rng, vectorized, kernel):
-        # Every (vectorized, kernel) combination either solves
-        # bit-identically to the scalar reference, warns, or raises —
-        # never silently downgrades.  Regression for the knob matrix: an
-        # explicit bool with kernel="auto" used to silently pin the
-        # reference kernel.
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=40))
-        srv = rng.integers(0, 5, size=40)
-        inst = ProblemInstance.from_arrays(t, srv, num_servers=5)
-        golden = solve_offline(inst, vectorized=False, kernel="reference")
-        if isinstance(vectorized, bool) and kernel in ("frontier", "batch"):
-            with pytest.raises(ValueError, match="vectorized"):
-                solve_offline(inst, vectorized=vectorized, kernel=kernel)
-            return
-        if isinstance(vectorized, bool) and kernel == "auto":
-            with pytest.warns(UserWarning, match="kernel='reference'"):
-                res = solve_offline(inst, vectorized=vectorized, kernel=kernel)
-        else:
-            res = solve_offline(inst, vectorized=vectorized, kernel=kernel)
-        assert_bit_identical(golden, res)
-
-    def test_explicit_bool_with_kernel_auto_warns(self, rng):
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=10))
-        srv = rng.integers(0, 3, size=10)
-        inst = ProblemInstance.from_arrays(t, srv, num_servers=3)
-        with pytest.warns(UserWarning, match="pins kernel='reference'"):
-            solve_offline(inst, vectorized=True)
-        # Naming the reference kernel explicitly keeps the bool silent.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            solve_offline(inst, vectorized=True, kernel="reference")
-            solve_offline(inst, vectorized=False, kernel="reference")
-
-    def test_bisect_pivot_mode_instance(self, rng):
-        t = np.cumsum(rng.uniform(0.05, 1.0, size=50))
-        srv = rng.integers(0, 5, size=50)
-        a = ProblemInstance.from_arrays(t, srv, num_servers=5, pivot_mode="matrix")
-        b = ProblemInstance.from_arrays(t, srv, num_servers=5, pivot_mode="bisect")
-        assert solve_offline(a).agrees_with(solve_offline(b))
+    def test_dispatch_matrix(self, vectorized, kernel):
+        # The former (vectorized, kernel) dispatch matrix is gone: every
+        # combination is refused loudly, never silently ignored.
+        inst = make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2)
+        with pytest.raises(TypeError):
+            solve_offline(inst, vectorized=vectorized, kernel=kernel)
 
 
 class TestAgainstBaselines:
@@ -174,7 +125,7 @@ class TestAgainstBaselines:
 class TestResultObject:
     def test_repr(self, fig6):
         r = repr(solve_offline(fig6))
-        assert "fast-dp" in r and "C(n)=8.9" in r
+        assert "batch-dp" in r and "C(n)=8.9" in r
 
     def test_schedule_is_cached(self, fig6):
         res = solve_offline(fig6)

@@ -1,14 +1,13 @@
 """Differential suite for ``repro.kernels`` — bit-identity, not approx.
 
-The kernels are throughput knobs, never semantics knobs: every test here
+The kernels are throughput machinery, never semantics: every test here
 compares *bytes*, not ``pytest.approx``.  Three layers:
 
-* frontier DP kernel vs the reference sweep (scalar and vectorized),
-  including tie-heavy integer-gap instances and single-server
-  degenerate cases;
-* the vectorized pre-scan vs its loop reference twins;
-* the streaming solver (both kernels) vs the batch solver on the same
-  prefix.
+* the frontier sweep of the batch kernel (C and Python backends) vs the
+  reference oracle ``solve_offline_bisect``, including tie-heavy
+  integer-gap instances and single-server degenerate cases;
+* the whole-array pre-scan vs its loop reference twin;
+* the streaming solver vs the reference oracle on the same prefix.
 """
 
 import numpy as np
@@ -16,11 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CostModel, ProblemInstance, solve_offline
-from repro.kernels import solve_offline_frontier
+from repro import CostModel, ProblemInstance, solve_offline, solve_offline_bisect
+from repro.kernels import batch_sweep_backend, solve_offline_batch
 from repro.kernels.prescan import (
-    build_pivot_matrix,
-    build_pivot_matrix_reference,
     per_server_lists,
     prescan_arrays,
     prev_same_server,
@@ -29,6 +26,10 @@ from repro.kernels.prescan import (
 from repro.offline.streaming import StreamingSolver
 
 from ..conftest import instances, make_instance
+
+#: Every sweep backend runnable on this box.  The Python sweep always
+#: exists; the C sweep joins when a system compiler produced the object.
+BACKENDS = ("python", "c") if batch_sweep_backend() == "c" else ("python",)
 
 _SETTINGS = dict(
     max_examples=60,
@@ -76,47 +77,48 @@ def assert_bit_identical(a, b):
     assert sa.total_cost(cost) == sb.total_cost(cost)
 
 
+def assert_frontier_matches_oracle(inst):
+    """Both sweep backends, one item each, vs the reference oracle."""
+    ref = solve_offline_bisect(inst)
+    for backend in BACKENDS:
+        res = solve_offline_batch([("x", inst)], kernel=backend)["x"]
+        assert_bit_identical(ref, res)
+
+
 class TestFrontierVsReference:
+    """The batch kernel's frontier sweep vs the ``solve_offline_bisect``
+    reference oracle."""
+
     @given(instances())
     @settings(**_SETTINGS)
     def test_random_instances(self, inst):
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
+        assert_frontier_matches_oracle(inst)
 
     @given(tie_heavy_instances())
     @settings(**_SETTINGS)
     def test_tie_heavy_instances(self, inst):
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
+        assert_frontier_matches_oracle(inst)
 
     @given(instances(max_m=1, max_n=30))
     @settings(**_SETTINGS)
     def test_single_server_degenerate(self, inst):
         assert inst.num_servers == 1
-        ref = solve_offline(inst, kernel="reference")
-        assert_bit_identical(ref, solve_offline_frontier(inst))
-
-    @given(instances(max_m=6, max_n=40))
-    @settings(**_SETTINGS)
-    def test_vectorized_reference_also_identical(self, inst):
-        # Three-way: scalar reference == vectorized reference == frontier.
-        scalar = solve_offline(inst, vectorized=False, kernel="reference")
-        assert_bit_identical(
-            scalar, solve_offline(inst, vectorized=True, kernel="reference")
-        )
-        assert_bit_identical(scalar, solve_offline(inst, kernel="frontier"))
+        assert_frontier_matches_oracle(inst)
 
     def test_kernel_auto_routes_to_frontier(self):
+        # solve_offline is a batch of one over the frontier sweep.
         inst = make_instance([1.0, 2.0, 3.5], [0, 1, 0], m=2)
-        auto = solve_offline(inst)  # kernel="auto"
-        assert_bit_identical(auto, solve_offline_frontier(inst))
+        res = solve_offline(inst)
+        assert res.solver == "batch-dp"
+        assert_bit_identical(solve_offline_bisect(inst), res)
 
     def test_bad_kernel_rejected(self):
         inst = make_instance([1.0], [0], m=1)
-        with pytest.raises(ValueError, match="kernel"):
-            solve_offline(inst, kernel="warp")
-        with pytest.raises(ValueError, match="vectorized"):
-            solve_offline(inst, vectorized=True, kernel="frontier")
+        for removed in ("frontier", "reference", "batch", "warp"):
+            with pytest.raises(ValueError, match="kernel"):
+                solve_offline_batch({"x": inst}, kernel=removed)
+        with pytest.raises(TypeError):
+            solve_offline(inst, kernel="frontier")
 
 
 @st.composite
@@ -140,15 +142,6 @@ class TestPrescanVsReferenceTwins:
         ref = prev_same_server_reference(per_server_lists(servers, m), servers.shape[0])
         assert fast.tobytes() == ref.tobytes()
 
-    @given(server_vectors())
-    @settings(**_SETTINGS)
-    def test_pivot_matrix(self, sv):
-        servers, m = sv
-        fast = build_pivot_matrix(servers, m)
-        ref = build_pivot_matrix_reference(servers, m)
-        assert fast.shape == ref.shape
-        assert fast.tobytes() == ref.tobytes()
-
     @given(instances())
     @settings(**_SETTINGS)
     def test_prescan_arrays_match_instance(self, inst):
@@ -164,20 +157,19 @@ class TestPrescanVsReferenceTwins:
 
 
 class TestStreamingVsBatch:
-    @given(instances(), st.sampled_from(["frontier", "reference"]))
+    @given(instances())
     @settings(**_SETTINGS)
-    def test_streaming_prefix_equals_batch(self, inst, kernel):
+    def test_streaming_prefix_equals_batch(self, inst):
         solver = StreamingSolver(
             inst.num_servers,
             cost=inst.cost,
             origin=inst.origin,
             start_time=float(inst.t[0]),
-            kernel=kernel,
         )
         for i in range(1, inst.n + 1):
             solver.append(float(inst.t[i]), int(inst.srv[i]))
         res = solver.result()
-        batch = solve_offline(inst, kernel="reference")
+        batch = solve_offline_bisect(inst)
         assert res.C.tobytes() == batch.C.tobytes()
         assert res.D.tobytes() == batch.D.tobytes()
         assert (
@@ -199,6 +191,6 @@ class TestStreamingVsBatch:
             (float(inst.t[i]), int(inst.srv[i])) for i in range(1, inst.n + 1)
         )
         res = solver.result()
-        batch = solve_offline_frontier(inst)
+        batch = solve_offline(inst)
         assert res.C.tobytes() == batch.C.tobytes()
         assert res.choice_d_k.tobytes() == batch.choice_d_k.tobytes()

@@ -168,13 +168,15 @@ class TestHardenedClose:
     def test_bounded_join_with_wedged_worker(self):
         # A worker stuck in a long sleep must not stall close(): the
         # bounded join expires, the worker is terminated, and close
-        # returns promptly.
+        # returns promptly — with the worker gone, not left running.
         pool = ServicePool(1, join_timeout=0.5)
         executor = pool._ensure_executor()
         executor.submit(int).result()  # spawn the worker
+        workers = list(executor._processes.values())
         executor.submit(time.sleep, 60)  # wedge it
         started = time.monotonic()
         pool.close()
         elapsed = time.monotonic() - started
         assert pool.closed
         assert elapsed < 10.0, f"close took {elapsed:.1f}s against a 0.5s join"
+        assert workers and not any(proc.is_alive() for proc in workers)

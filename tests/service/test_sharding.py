@@ -9,9 +9,9 @@ from repro import (
     MultiItemOnlineService,
     SpeculativeCaching,
     multi_item_workload,
+    solve_offline_bisect,
     solve_offline_multi,
 )
-from repro.kernels import solve_offline_frontier
 from repro.service import SHARD_STRATEGIES, plan_shards
 from repro.service.sharding import _pack_item, _solve_shard, _unpack_item
 
@@ -115,22 +115,19 @@ class TestPlanShards:
 class TestShardWorkerImmutability:
     """Workers must never mutate solver results in place.
 
-    The old workers stripped ``res.instance = None`` on the object the
-    solver returned.  With the batched kernel, shard-mates' results are
-    views into ONE stacked buffer per field, so in-place habits would
-    corrupt neighbours; workers now strip a ``dataclasses.replace`` copy
-    and batch results ship read-only.
+    Shard-mates' results are views into ONE stacked buffer per field, so
+    in-place habits would corrupt neighbours; batch results are born
+    instance-free and ship read-only.
     """
 
-    @pytest.mark.parametrize("kernel", ["frontier", "batch"])
-    def test_worker_results_match_fresh_solves(self, kernel):
+    def test_worker_results_match_fresh_solves(self):
         svc = _service(num_items=5, n_total=100)
         descs = [_pack_item(name, inst) for name, inst in svc.items.items()]
-        out = _solve_shard(descs, kernel=kernel)
+        out = _solve_shard(descs)
         assert [name for name, _ in out] == list(svc.items)
         for name, res in out:
             assert res.instance is None  # instances never cross the pool
-            golden = solve_offline_frontier(svc.items[name])
+            golden = solve_offline_bisect(svc.items[name])
             assert res.C.tobytes() == golden.C.tobytes()
             assert res.D.tobytes() == golden.D.tobytes()
             assert res.choice_d_k.tobytes() == golden.choice_d_k.tobytes()
@@ -138,7 +135,7 @@ class TestShardWorkerImmutability:
     def test_batch_arrays_survive_shard_round_trip(self):
         svc = _service(num_items=5, n_total=100)
         descs = [_pack_item(name, inst) for name, inst in svc.items.items()]
-        out = _solve_shard(descs, kernel="batch")
+        out = _solve_shard(descs)
         # In-place mutation — the old stripping style — fails loudly
         # instead of silently corrupting shard-mates' views.
         with pytest.raises(ValueError):
@@ -148,7 +145,7 @@ class TestShardWorkerImmutability:
         blobs = {name: pickle.dumps(res) for name, res in out}
         for name, blob in blobs.items():
             back = pickle.loads(blob)
-            golden = solve_offline_frontier(svc.items[name])
+            golden = solve_offline_bisect(svc.items[name])
             assert back.C.tobytes() == golden.C.tobytes()
             assert back.D.tobytes() == golden.D.tobytes()
             assert (

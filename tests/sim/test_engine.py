@@ -6,7 +6,9 @@ from typing import List, Tuple
 import pytest
 
 from repro import run_online
+from repro.kernels import replay_fault_free
 from repro.online.base import OnlineAlgorithm
+from repro.sim.engine import ReplayDriver
 
 from ..conftest import make_instance
 
@@ -245,6 +247,14 @@ class TestRequestsDeliveredCounter:
         assert spy.slice_reads == 1
 
 
+def _stepwise(algorithm, instance):
+    """A fault-free run through the stepwise :class:`ReplayDriver`."""
+    driver = ReplayDriver(algorithm, instance)
+    while not driver.done:
+        driver.step()
+    return driver.finish()
+
+
 class TestReplayFastPath:
     """The array-backed fast path must be indistinguishable from the
     stepwise driver on fault-free runs."""
@@ -264,8 +274,8 @@ class TestReplayFastPath:
             AlwaysTransfer,
             SpeculativeCachingResilient,
         ):
-            fast = run_online(factory(), inst, fast=True)
-            slow = run_online(factory(), inst, fast=False)
+            fast = replay_fault_free(factory(), inst)
+            slow = _stepwise(factory(), inst)
             assert fast.cost == slow.cost
             assert fast.counters == slow.counters
             assert fast.schedule.transfers == slow.schedule.transfers
@@ -274,11 +284,11 @@ class TestReplayFastPath:
     def test_fast_path_hook_sequence_identical(self):
         inst = make_instance([1.0, 2.5, 4.0], [0, 1, 1], m=2)
         a, b = Probe(), Probe()
-        run_online(a, inst, fast=True)
-        run_online(b, inst, fast=False)
+        replay_fault_free(a, inst)
+        _stepwise(b, inst)
         assert a.calls == b.calls
 
     def test_fast_path_rejects_bad_times_like_driver(self):
         bogus = SimpleNamespace(t=[0.0, 1.0, 0.5], n=2)
         with pytest.raises(ValueError, match="non-decreasing"):
-            run_online(Probe(), bogus, fast=True)
+            run_online(Probe(), bogus)
